@@ -19,8 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	gamma "github.com/gamma-suite/gamma"
 	"github.com/gamma-suite/gamma/internal/core"
@@ -43,21 +41,16 @@ func main() {
 }
 
 func run(seed uint64, dataDir string, files []string, asJSON bool, country string, workers int) error {
-	if dataDir != "" {
-		for _, pattern := range []string{"*.json", "*.json.gz"} {
-			matches, err := filepath.Glob(filepath.Join(dataDir, pattern))
-			if err != nil {
-				return err
-			}
-			files = append(files, matches...)
-		}
-	}
-	if len(files) == 0 {
+	if dataDir == "" && len(files) == 0 {
 		return fmt.Errorf("no datasets given (use -data DIR or list files)")
 	}
-	sort.Strings(files)
-
 	var datasets []*core.Dataset
+	if dataDir != "" {
+		var err error
+		if datasets, err = core.LoadDir(dataDir); err != nil {
+			return err
+		}
+	}
 	for _, f := range files {
 		ds, err := core.LoadDataset(f)
 		if err != nil {

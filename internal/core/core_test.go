@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -279,6 +281,11 @@ func TestSaveLoadDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertUnmarshalEqual(t, raw, got)
 	if got.VolunteerID != ds.VolunteerID || len(got.Pages) != len(ds.Pages) {
 		t.Error("dataset did not round-trip")
 	}
@@ -314,12 +321,27 @@ func TestSaveLoadDatasetGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.VolunteerID != ds.VolunteerID || len(got.Pages) != len(ds.Pages) {
-		t.Error("gzip round trip mismatch")
+	raw, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertUnmarshalEqual(t, raw, got)
 	pi, _ := os.Stat(plain)
 	zi, _ := os.Stat(zipped)
 	if zi.Size() >= pi.Size() {
 		t.Errorf("gzip (%d) should be smaller than plain (%d)", zi.Size(), pi.Size())
+	}
+}
+
+// assertUnmarshalEqual checks a loaded dataset against json.Unmarshal of
+// the bytes SaveDataset wrote.
+func assertUnmarshalEqual(t *testing.T, raw []byte, got *Dataset) {
+	t.Helper()
+	var want Dataset
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, &want) {
+		t.Errorf("loaded %+v, json.Unmarshal gives %+v", got, &want)
 	}
 }

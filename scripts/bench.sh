@@ -4,8 +4,8 @@
 # Runs the filterlist matching-engine benchmarks (hit, miss, bare-hostname
 # probe, index build, parse), the pipeline's parallel-analysis benchmark,
 # and the serving layer's hot-path benchmarks — monolithic and sharded
-# (BenchmarkServeQueries matches BenchmarkServeQueriesSharded too) —
-# with -benchtime=1x -count=1:
+# (BenchmarkServeQueries matches BenchmarkServeQueriesSharded too) — and
+# the volunteer-dataset decoder, with -benchtime=1x -count=1:
 # fast enough for CI, and a compile+run check that every benchmark still
 # works. Real before/after numbers are collected with longer benchtimes
 # and recorded in BENCH_*.json.
@@ -32,3 +32,7 @@ go test -run '^$' -bench 'BenchmarkRenderParse' \
 	-benchtime=1x -count=1 ./internal/tracert/
 go test -run '^$' -bench 'BenchmarkRunStudyEndToEnd' \
 	-benchmem -benchtime=1x -count=1 .
+# Dataset decoding, most of a gammad -data reload: one full-study volunteer
+# file (about 2 MB) per op, reported in MB/s and allocs/op.
+go test -run '^$' -bench 'BenchmarkLoadDataset' \
+	-benchmem -benchtime=1x -count=1 ./internal/core/
